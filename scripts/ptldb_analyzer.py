@@ -17,8 +17,8 @@ that structure:
                         generator event clock and the hour-bucket edge
                         overflow were both exactly that bug).
 
-  checkpoint            Every outermost loop in the query executor, the
-                        compiled-VM scan kernels and the label-merge
+  checkpoint            Every outermost loop in the compiled-VM executor
+                        (its bucket and naive scans) and the label-merge
                         kernels must reach a QueryContext deadline
                         checkpoint (CheckQueryCheckpoint), directly or
                         through a function it calls — otherwise a served
@@ -38,12 +38,9 @@ that structure:
                         held — directly or through any transitive callee —
                         is a deadlock waiting for the right interleaving.
 
-Backends: when the `clang.cindex` libclang bindings are importable (and a
-libclang shared object can be loaded), translation units from the compile
-database are parsed with the real Clang frontend and the IR is lifted
-from cursor extents; otherwise a self-contained microparser (comment and
-string aware tokenizer + brace matching) builds the same IR. The checks
-are backend-independent: both produce FunctionInfo records.
+The IR comes from a self-contained microparser (comment and string
+aware tokenizer + brace matching) that yields FunctionInfo records. The
+compile database only widens the set of analyzed files.
 
 Usage:
   ptldb_analyzer.py [-p build/compile_commands.json] [--check NAME ...]
@@ -81,10 +78,9 @@ ALLOWLIST = {
 }
 
 # Paths whose loops serve queries and therefore must reach a deadline
-# checkpoint (the executor, the VM fused scans, the merge kernels).
+# checkpoint (the VM executor with its fused bucket and naive scans, the
+# merge kernels).
 CHECKPOINT_PATHS = [
-    "src/engine/exec.cc",
-    "src/engine/exec.h",
     "src/engine/vm.h",
     "src/ptldb/compiled.cc",
     "src/ptldb/label_merge.h",
@@ -135,10 +131,10 @@ cannot express (suppress one line with `// NOLINT` / `// NOLINT(<check>)`):
                    compute-tier seconds, and 32-bit time-named accumulators
                    (the int32 event-clock overflow bug class).
 
-  checkpoint       an outermost loop in the executor / VM scans / merge
-                   kernels that can never reach CheckQueryCheckpoint()
-                   and does not carry an `// analyzer: bounded(<why>)`
-                   annotation.
+  checkpoint       an outermost loop in the VM executor and its scans or
+                   the merge kernels that can never reach
+                   CheckQueryCheckpoint() and does not carry an
+                   `// analyzer: bounded(<why>)` annotation.
 
   guard-escape     a `const Page*` taken out of a PageGuard that outlives
                    the guard's frame: returned, stored into a member, or
@@ -159,7 +155,7 @@ class Finding:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer (microparse backend)
+# Tokenizer
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -451,67 +447,10 @@ def _lock_rank(arg_text: str, rel_path: str):
 
 
 # ---------------------------------------------------------------------------
-# Backends
+# IR construction
 # ---------------------------------------------------------------------------
 
-def try_clang_backend():
-    """Returns a libclang Index if the bindings and shared object load."""
-    try:
-        from clang import cindex  # noqa: PLC0415
-    except ImportError:
-        return None
-    try:
-        return cindex.Index.create()
-    except Exception:  # Missing/old libclang: fall back silently.
-        return None
-
-
-def build_ir_clang(index, path: str, rel: str, compile_args: list):
-    """Lifts the same FunctionInfo IR from a real Clang parse. Token
-    streams come from the lexer over each function's extent, so the
-    downstream checks are byte-for-byte the microparse ones."""
-    from clang import cindex  # noqa: PLC0415
-
-    tu = index.parse(path, args=compile_args,
-                     options=cindex.TranslationUnit.PARSE_SKIP_FUNCTION_BODIES
-                     & 0)  # full bodies
-    with open(path, encoding="utf-8", errors="replace") as f:
-        text = f.read()
-    _, nolint = strip_comments_and_strings(text)
-    functions = []
-    fn_kinds = {
-        cindex.CursorKind.FUNCTION_DECL,
-        cindex.CursorKind.CXX_METHOD,
-        cindex.CursorKind.CONSTRUCTOR,
-        cindex.CursorKind.DESTRUCTOR,
-        cindex.CursorKind.FUNCTION_TEMPLATE,
-    }
-    for cursor in tu.cursor.walk_preorder():
-        if cursor.kind not in fn_kinds or not cursor.is_definition():
-            continue
-        if cursor.location.file is None \
-                or os.path.realpath(cursor.location.file.name) \
-                != os.path.realpath(path):
-            continue
-        toks = [Token("id" if t.kind == cindex.TokenKind.IDENTIFIER
-                      else "num" if t.kind == cindex.TokenKind.LITERAL
-                      else "punct", t.spelling, t.location.line)
-                for t in cursor.get_tokens()]
-        # Trim to the body: first top-level '{'.
-        for bi, t in enumerate(toks):
-            if t.text == "{":
-                toks = toks[bi:]
-                break
-        else:
-            continue
-        fn = FunctionInfo(name=cursor.spelling, path=path,
-                          line=cursor.location.line, tokens=toks)
-        analyze_function_body(fn, rel)
-        functions.append(fn)
-    return functions, nolint, text
-
-
-def build_ir_micro(path: str, rel: str):
+def build_ir(path: str, rel: str):
     with open(path, encoding="utf-8", errors="replace") as f:
         text = f.read()
     clean, nolint = strip_comments_and_strings(text)
@@ -831,38 +770,14 @@ def collect_files(paths, compile_db):
     return files
 
 
-def compile_args_for(entry) -> list:
-    args = entry.get("arguments")
-    if not args:
-        args = entry.get("command", "").split()
-    keep = []
-    skip_next = False
-    for a in args[1:]:
-        if skip_next:
-            skip_next = False
-            continue
-        if a in {"-c", "-o"}:
-            skip_next = a == "-o"
-            continue
-        if a.endswith((".cc", ".cpp", ".cxx", ".o")):
-            continue
-        keep.append(a)
-    return keep
-
-
-def analyze_paths(paths, checks=None, compile_db=None, db_by_file=None,
-                  use_clang=True):
-    """Runs the selected checks over `paths`; returns (findings, n_files,
-    backend). This is the whole analysis minus argv handling and printing,
-    so the selftest drives it directly on fixture trees."""
+def analyze_paths(paths, checks=None, compile_db=None):
+    """Runs the selected checks over `paths`; returns (findings, n_files).
+    This is the whole analysis minus argv handling and printing, so the
+    selftest drives it directly on fixture trees."""
     checks = checks or CHECK_NAMES
     compile_db = compile_db or []
-    db_by_file = db_by_file or {}
     files = collect_files(paths, compile_db)
     repo_root = os.getcwd()
-
-    clang_index = try_clang_backend() if use_clang else None
-    backend = "libclang" if clang_index is not None else "microparse"
 
     # Pass 1: build the IR for every file (needed before any flow check —
     # the call graph crosses files).
@@ -870,17 +785,7 @@ def analyze_paths(paths, checks=None, compile_db=None, db_by_file=None,
     functions_by_name: dict[str, list] = {}
     for path in files:
         rel = os.path.relpath(path, repo_root)
-        functions = None
-        if clang_index is not None:
-            entry = db_by_file.get(os.path.realpath(path))
-            if entry is not None:
-                try:
-                    functions, nolint, _ = build_ir_clang(
-                        clang_index, path, rel, compile_args_for(entry))
-                except Exception:
-                    functions = None
-        if functions is None:
-            functions, nolint, _ = build_ir_micro(path, rel)
+        functions, nolint, _ = build_ir(path, rel)
         per_file.append((rel, functions, nolint))
         for fn in functions:
             functions_by_name.setdefault(fn.name.split("::")[-1],
@@ -911,7 +816,7 @@ def analyze_paths(paths, checks=None, compile_db=None, db_by_file=None,
             findings.append(f)
 
     findings.sort(key=lambda f: (f.path, f.line, f.check))
-    return findings, len(files), backend
+    return findings, len(files)
 
 
 def main(argv):
@@ -935,7 +840,6 @@ def main(argv):
         return 2
 
     compile_db = []
-    db_by_file = {}
     if args.compile_db:
         db_path = args.compile_db
         if os.path.isdir(db_path):
@@ -946,19 +850,12 @@ def main(argv):
             return 2
         with open(db_path, encoding="utf-8") as f:
             compile_db = json.load(f)
-        for entry in compile_db:
-            src = entry.get("file", "")
-            if not os.path.isabs(src):
-                src = os.path.join(entry.get("directory", ""), src)
-            db_by_file[os.path.realpath(src)] = entry
 
-    findings, n_files, backend = analyze_paths(
-        args.paths, checks=args.check, compile_db=compile_db,
-        db_by_file=db_by_file)
+    findings, n_files = analyze_paths(
+        args.paths, checks=args.check, compile_db=compile_db)
     for f in findings:
         print(f"{f.path}:{f.line}: [{f.check}] {f.message}")
-    print(f"ptldb_analyzer[{backend}]: "
-          f"{len(findings)} finding(s) in {n_files} file(s)",
+    print(f"ptldb_analyzer: {len(findings)} finding(s) in {n_files} file(s)",
           file=sys.stderr if findings else sys.stdout)
     return 1 if findings else 0
 

@@ -170,24 +170,24 @@ class MetricsRegistry {
 };
 
 /// Per-thread execution counters incremented by the storage engine, the
-/// executor and the TTL label-merge code. Plain (non-atomic) fields: each
-/// thread only ever touches its own instance, so increments are free of
-/// both races and atomic traffic. A query runs on one thread, so the
-/// delta of these counters around a query is its exact operation count;
-/// the facade and the SQL interpreter flush such deltas into their
+/// query executors and the TTL label-merge code. Plain (non-atomic)
+/// fields: each thread only ever touches its own instance, so increments
+/// are free of both races and atomic traffic. A query runs on one thread,
+/// so the delta of these counters around a query is its exact operation
+/// count; the facade and the SQL interpreter flush such deltas into their
 /// database's MetricsRegistry after every query.
 struct LocalQueryCounters {
   uint64_t tuples_scanned = 0;     ///< Heap tuples materialized.
   uint64_t index_seeks = 0;        ///< B-tree descents (Get / Seek).
-  uint64_t rows_emitted = 0;       ///< Rows drained from plan roots.
+  uint64_t rows_emitted = 0;       ///< Result rows emitted.
   uint64_t hubs_merged = 0;        ///< Common-hub groups visited in merges.
   uint64_t label_comparisons = 0;  ///< Label tuple comparisons in merges.
   uint64_t label_decodes = 0;      ///< Compressed label buckets decoded.
   uint64_t label_decode_bytes = 0;  ///< Encoded bytes those decodes read.
   /// Compiled-query VM work units: one per instruction dispatch, per
   /// bucket probe and per candidate tuple examined in the fused scan
-  /// macro-ops (see engine/vm.h). Zero on every interpreter path, so a
-  /// nonzero delta proves a query really ran compiled.
+  /// macro-ops (see engine/vm.h). Zero on the SQL interpreter's path, so
+  /// a nonzero delta proves a query really ran compiled.
   uint64_t vm_steps = 0;
   /// Modeled device I/O ns charged to this thread (page transfers plus
   /// retry-backoff waits). Mirrors the StorageDevice global atomics, but

@@ -72,6 +72,13 @@ class EngineTable {
       ++ThisThreadQueryCounters().tuples_scanned;
       return table_->heap_.Read(it_.locator(), table_->schema_, pool_);
     }
+    /// Allocation-free row() for the compiled query path: decodes the
+    /// current row into `scratch` (the GetInto counterpart of row()).
+    Status ReadInto(RowScratch* scratch) const {
+      ++ThisThreadQueryCounters().tuples_scanned;
+      return table_->heap_.ReadInto(it_.locator(), table_->schema_, pool_,
+                                    scratch);
+    }
     void Next() { it_.Next(); }
     const Status& status() const { return it_.status(); }
 

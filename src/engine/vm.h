@@ -12,28 +12,30 @@ class EngineTable;
 class LabelStore;
 
 /// Compiled query programs: each of the paper's Codes 1-4 (v2v EA/LD/SD,
-/// kNN and one-to-many in both directions) compiles once — at
-/// PtldbDatabase::Build for the v2v family, at AddTargetSet for the
-/// bucket family — into a short register program of fused macro-ops that
+/// naive and bucketed kNN, one-to-many, in both directions) compiles once
+/// — at PtldbDatabase::Build for the v2v family, at AddTargetSet for the
+/// set family — into a short register program of fused macro-ops that
 /// ptldb/compiled.cc executes against pinned pages with all scratch in a
-/// per-request bump arena (engine/arena.h). The volcano interpreter
-/// (engine/exec.h) remains the general-SQL surface and the fallback path
-/// when a program is invalid (e.g. derived tables quarantined at build).
+/// per-request bump arena (engine/arena.h). This is the facade's only
+/// executor; the literal SQL of Codes 1-4 runs separately through the
+/// SQL interpreter (src/sql). A program whose tables cannot be bound
+/// never exists: compilation fails and so does the Build/AddTargetSet
+/// that asked for it.
 ///
 /// The ops are deliberately coarse: one instruction is one whole phase of
 /// a paper query (load a label, merge two labels, scan bucket rows for
 /// one n1 label, drain a top-k aggregate). Fine-grained per-row bytecode
-/// would just re-create the interpreter's dispatch cost; the win here is
+/// would just re-create a volcano interpreter's dispatch cost; the win is
 /// that inside each macro-op the loop is monomorphic, allocation-free and
 /// checkpointed, while the program layer keeps query *selection* a data
 /// lookup instead of a code path.
 ///
 /// Instrumentation: executing a program bumps
 /// LocalQueryCounters::vm_steps — one unit per instruction dispatched,
-/// per bucket probed and per candidate tuple examined — alongside the
-/// same index_seeks / tuples_scanned / hubs_merged / label_comparisons
-/// the interpreter maintains, so EXPLAIN ANALYZE span stats still equal
-/// engine counters exactly on compiled plans.
+/// per bucket probed or range walked and per candidate tuple examined —
+/// alongside the index_seeks / tuples_scanned / hubs_merged /
+/// label_comparisons counters every table reader maintains, so facade
+/// span stats equal engine counters exactly.
 enum class VmOp : uint8_t {
   kHalt = 0,       ///< End of program.
   kLoadOut,        ///< r[a] = outbound label of the query source stop.
@@ -43,6 +45,8 @@ enum class VmOp : uint8_t {
   kMergeSd,        ///< result = SD common-hub merge of r[a], r[b].
   kScanEaBuckets,  ///< Fused Code-3 scan: r[a] n1 label x EA bucket rows.
   kScanLdBuckets,  ///< Fused Code-4 scan: r[a] n1 label x LD bucket rows.
+  kScanNaiveEa,    ///< Fused Code-2 scan: r[a] n1 label x knn_naive ranges.
+  kScanNaiveLd,    ///< LD counterpart of kScanNaiveEa.
   kEmitTopK,       ///< Drain aggregate, sort (a: 0=time asc, 1=desc), cut k.
 };
 
@@ -56,8 +60,7 @@ struct VmInstr {
 /// against. Plain data, trivially copyable: PtldbDatabase stores one per
 /// query type and hands out copies by value (target_sets() snapshots
 /// include them). The EngineTable / LabelStore pointers are borrowed from
-/// the owning database and stay valid for its lifetime — the same
-/// contract as the interpreter's plan nodes.
+/// the owning database and stay valid for its lifetime.
 struct VmProgram {
   static constexpr size_t kMaxCode = 8;
 
@@ -67,10 +70,10 @@ struct VmProgram {
   /// Bound inputs (resolved once at compile time, never re-looked-up).
   const EngineTable* lout = nullptr;    ///< Outbound label table (raw tier).
   const EngineTable* lin = nullptr;     ///< Inbound label table (raw tier).
-  const EngineTable* buckets = nullptr;  ///< EA or LD bucket table (sets).
+  const EngineTable* buckets = nullptr;  ///< Bucket or knn_naive table.
   const LabelStore* labels = nullptr;   ///< Compressed tier, else nullptr.
 
-  /// Plan constants for the bucket family.
+  /// Plan constants for the set family.
   Duration bucket_seconds = Duration::Zero();
   int32_t max_bucket = 0;
   uint32_t kmax = 0;
@@ -80,10 +83,6 @@ struct VmProgram {
   /// answer in the Duration domain; their executor supplies
   /// Duration::Infinity() itself.
   EventTime empty_result = EventTime::Infinity();
-
-  /// False when compilation could not bind every input (e.g. a derived
-  /// table failed to build); callers fall back to the interpreter.
-  bool valid = false;
 
   void Push(VmOp op, uint8_t a = 0, uint8_t b = 0) {
     code[num_instrs++] = VmInstr{op, a, b};

@@ -42,7 +42,8 @@ std::string LdKnnNaiveSql(const std::string& set_name);
 std::string EaKnnSql(const std::string& set_name);
 std::string EaOtmSql(const std::string& set_name);
 
-/// Code 4; $1=q, $2=t, $3=k, $4=arrhour (LD-kNN / LD-OTM).
+/// Code 4; $1=q, $2=t, $3=k, $4=arrhour (LD-kNN) — or $3=arrhour and no
+/// LIMIT/slice for LD-OTM.
 std::string LdKnnSql(const std::string& set_name);
 std::string LdOtmSql(const std::string& set_name);
 

@@ -1,6 +1,7 @@
 #include "ptldb/compiled.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/metrics.h"
 #include "common/query_context.h"
@@ -25,7 +26,7 @@ struct VmState {
   LabelArrays in_arrays;   // Compressed-tier decode target, in label.
   RowScratch out_row;      // Raw-tier decode target, out label.
   RowScratch in_row;       // Raw-tier decode target, in label.
-  RowScratch bucket_row;   // Probed bucket rows (reused per probe).
+  RowScratch bucket_row;   // Probed bucket / naive rows (reused per row).
 };
 
 VmState& ThisThreadVmState() {
@@ -55,9 +56,8 @@ Result<bool> LoadLabel(EngineDatabase* db, const VmProgram& prog,
       table->GetInto(static_cast<IndexKey>(v), db->buffer_pool(), scratch);
   PTLDB_RETURN_IF_ERROR(found.status());
   if (!*found) return false;
-  // CheckLabelRow parity (label_merge.h): the three arrays are parallel
-  // by construction, so a mismatch means the row decoded from a corrupt
-  // page.
+  // The three arrays are parallel by construction, so a mismatch means
+  // the row decoded from a corrupt page.
   if (scratch->cols.size() < 4 || !scratch->cols[1].is_array ||
       !scratch->cols[2].is_array || !scratch->cols[3].is_array) {
     return Status::Corruption("label row has too few columns");
@@ -75,7 +75,7 @@ Result<bool> LoadLabel(EngineDatabase* db, const VmProgram& prog,
 // Bucket row layout (BuildTargetSetTables): 0 hub, 1 hour, 2 vs,
 // 3 condensed time (tas for EA tables, tds for LD), 4 tds_exp, 5 vs_exp,
 // 6 tas_exp. The condensed pair and the expanded triple are each
-// parallel; UnnestOp treats a mismatch as corruption and so do we.
+// parallel, so a mismatch means the row decoded from a corrupt page.
 struct BucketRowView {
   std::span<const int32_t> vs;
   std::span<const int32_t> cond;
@@ -198,14 +198,76 @@ Status ScanLdBuckets(EngineDatabase* db, const VmProgram& prog,
   return Status::Ok();
 }
 
+// Fused Code 2 scan (one kScanNaiveEa / kScanNaiveLd instruction): for
+// every n1 label tuple, range-walk the knn_naive rows (hub, td) from
+// (hub, n1.ta) to the end of the hub — the n2.td >= n1.ta join — and fold
+// the first k (v, ta) of each row (the vs[1:k] slice) into the per-stop
+// aggregate. EA keeps the n1 tuples departing at or after t and takes
+// MIN(ta); LD keeps every n1 tuple, drops slice entries arriving after t
+// and takes MAX(n1.td). Naive row layout: 0 hub, 1 td, 2 vs, 3 tas. Step
+// accounting: one vm_step per range walk and one per slice element.
+Status ScanNaive(EngineDatabase* db, const VmProgram& prog, bool ld,
+                 const LabelRowView& n1, EventTime t, uint32_t k,
+                 ArenaInt32Map* agg, RowScratch* scratch) {
+  auto& counters = ThisThreadQueryCounters();
+  BufferPool* pool = db->buffer_pool();
+  // EA: lower bound on n1.td; LD: upper bound on the target arrival.
+  const StoredTime bound = SaturatingToStoredTime(t);
+  for (size_t i = 0; i < n1.size(); ++i) {
+    PTLDB_RETURN_IF_ERROR(CheckQueryCheckpoint());
+    if (!ld && n1.tds[i] < bound) continue;
+    ++counters.vm_steps;
+    const IndexKey last =
+        MakeCompositeKey(n1.hubs[i], std::numeric_limits<int32_t>::max());
+    auto cursor =
+        prog.buckets->Seek(MakeCompositeKey(n1.hubs[i], n1.tas[i]), pool);
+    for (; cursor.Valid() && cursor.key() <= last; cursor.Next()) {
+      PTLDB_RETURN_IF_ERROR(CheckQueryCheckpoint());
+      PTLDB_RETURN_IF_ERROR(cursor.ReadInto(scratch));
+      if (scratch->cols.size() < 4) {
+        return Status::Corruption("naive row has too few columns");
+      }
+      const auto vs = scratch->array(2);
+      const auto tas = scratch->array(3);
+      if (tas.size() != vs.size()) {
+        return Status::Corruption("naive row arrays have unequal lengths");
+      }
+      const size_t lim = k == 0 ? vs.size() : std::min<size_t>(vs.size(), k);
+      for (size_t j = 0; j < lim; ++j) {
+        ++counters.vm_steps;
+        if (!ld) {
+          AggMin(agg, vs[j], tas[j]);
+        } else if (tas[j] <= bound) {
+          AggMax(agg, vs[j], n1.tds[i]);
+        }
+      }
+    }
+    PTLDB_RETURN_IF_ERROR(cursor.status());
+  }
+  return Status::Ok();
+}
+
+// Binds a table a program reads. A table that was never built (labels
+// not loaded, set not registered) is a caller error, not a fault.
+Status BindTable(EngineDatabase* db, const std::string& name,
+                 const EngineTable** slot) {
+  *slot = db->FindTable(name);
+  if (*slot == nullptr) {
+    return Status::InvalidArgument("table not built: " + name);
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
-VmProgram CompileV2v(EngineDatabase* db, CompiledV2vKind kind,
-                     const LabelStore* labels) {
+Result<VmProgram> CompileV2v(EngineDatabase* db, CompiledV2vKind kind,
+                             const LabelStore* labels) {
   VmProgram p;
   p.labels = labels;
-  p.lout = db->FindTable(kLoutTable);
-  p.lin = db->FindTable(kLinTable);
+  if (labels == nullptr) {
+    PTLDB_RETURN_IF_ERROR(BindTable(db, kLoutTable, &p.lout));
+    PTLDB_RETURN_IF_ERROR(BindTable(db, kLinTable, &p.lin));
+  }
   p.empty_result = kind == CompiledV2vKind::kLd ? EventTime::NegInfinity()
                                                 : EventTime::Infinity();
   p.Push(VmOp::kLoadOut, 0);
@@ -221,27 +283,26 @@ VmProgram CompileV2v(EngineDatabase* db, CompiledV2vKind kind,
       p.Push(VmOp::kMergeSd, 0, 1);
       break;
   }
-  p.valid =
-      labels != nullptr || (p.lout != nullptr && p.lin != nullptr);
   return p;
 }
 
-VmProgram CompileSetQuery(EngineDatabase* db, bool ld,
-                          const std::string& bucket_table,
-                          Duration bucket_seconds, int32_t max_bucket,
-                          uint32_t kmax, const LabelStore* labels) {
+Result<VmProgram> CompileSetQuery(EngineDatabase* db, VmOp scan,
+                                  const std::string& table,
+                                  Duration bucket_seconds, int32_t max_bucket,
+                                  uint32_t kmax, const LabelStore* labels) {
   VmProgram p;
   p.labels = labels;
-  p.lout = db->FindTable(kLoutTable);
-  p.buckets = db->FindTable(bucket_table);
+  if (labels == nullptr) {
+    PTLDB_RETURN_IF_ERROR(BindTable(db, kLoutTable, &p.lout));
+  }
+  PTLDB_RETURN_IF_ERROR(BindTable(db, table, &p.buckets));
   p.bucket_seconds = bucket_seconds;
   p.max_bucket = max_bucket;
   p.kmax = kmax;
+  const bool ld = scan == VmOp::kScanLdBuckets || scan == VmOp::kScanNaiveLd;
   p.Push(VmOp::kLoadOut, 0);
-  p.Push(ld ? VmOp::kScanLdBuckets : VmOp::kScanEaBuckets, 0);
+  p.Push(scan, 0);
   p.Push(VmOp::kEmitTopK, ld ? 1 : 0);
-  p.valid =
-      p.buckets != nullptr && (labels != nullptr || p.lout != nullptr);
   return p;
 }
 
@@ -335,7 +396,7 @@ Result<std::vector<StopTimeResult>> RunCompiledSetQuery(EngineDatabase* db,
   auto& counters = ThisThreadQueryCounters();
   LabelRowView reg[2];
   // Absent n1 label (unknown stop): the scans are skipped and kEmitTopK
-  // drains an empty aggregate — the interpreter's empty index lookup.
+  // drains an empty aggregate — the empty answer, as in Codes 2-4.
   bool have_label = false;
   ArenaInt32Map agg(&state.arena);
   for (uint8_t pc = 0; pc < prog.num_instrs; ++pc) {
@@ -361,6 +422,15 @@ Result<std::vector<StopTimeResult>> RunCompiledSetQuery(EngineDatabase* db,
         if (have_label) {
           PTLDB_RETURN_IF_ERROR(ScanLdBuckets(db, prog, reg[instr.a], t, k,
                                               &agg, &state.bucket_row));
+        }
+        break;
+      case VmOp::kScanNaiveEa:
+      case VmOp::kScanNaiveLd:
+        if (have_label) {
+          PTLDB_RETURN_IF_ERROR(ScanNaive(db, prog,
+                                          instr.op == VmOp::kScanNaiveLd,
+                                          reg[instr.a], t, k, &agg,
+                                          &state.bucket_row));
         }
         break;
       case VmOp::kEmitTopK: {

@@ -4,7 +4,6 @@
 
 #include "common/query_context.h"
 #include "ptldb/compiled.h"
-#include "ptldb/queries.h"
 #include "ptldb/tables.h"
 
 namespace ptldb {
@@ -18,12 +17,11 @@ bool IsStorageFault(const Status& s) {
          s.code() == Status::Code::kCorruption;
 }
 
-/// Per-thread mirror of last_degraded_. The shared atomic answers "did
-/// the database degrade recently" for single-threaded callers; a
-/// concurrent server needs "did MY query degrade" — its circuit breaker
-/// trips per-request, and another thread's healthy query must not clear
-/// the signal between this thread's query and its read. A query runs on
-/// one thread, so a thread_local is exact.
+/// Whether this thread's last facade query degraded. A concurrent server
+/// needs "did MY query degrade" — its circuit breaker trips per-request,
+/// and another thread's healthy query must not clear the signal between
+/// this thread's query and its read. A query runs on one thread, so a
+/// thread_local is exact, and no query writes a shared cache line.
 thread_local bool tls_last_degraded = false;
 
 }  // namespace
@@ -73,8 +71,6 @@ PtldbDatabase::PtldbDatabase(const PtldbOptions& options)
   ttl_decodes_ = m->counter("ttl.labels.decodes");
   ttl_decode_bytes_ = m->counter("ttl.labels.decoded_bytes");
   vm_steps_ = m->counter("exec.vm_steps");
-  compiled_queries_.store(options.compiled_queries,
-                          std::memory_order_relaxed);
   query_log_ = std::make_unique<QueryLog>(options.query_log, m);
 }
 
@@ -109,13 +105,14 @@ Result<std::unique_ptr<PtldbDatabase>> PtldbDatabase::Build(
   }
   // Compile the three Code 1 programs against whichever label tier this
   // database serves from. Done once here; the entry points only select.
-  const LabelStore* labels = db->labels_.get();
-  db->v2v_programs_[static_cast<size_t>(QueryType::kV2vEa)] =
-      CompileV2v(&db->db_, CompiledV2vKind::kEa, labels);
-  db->v2v_programs_[static_cast<size_t>(QueryType::kV2vLd)] =
-      CompileV2v(&db->db_, CompiledV2vKind::kLd, labels);
-  db->v2v_programs_[static_cast<size_t>(QueryType::kV2vSd)] =
-      CompileV2v(&db->db_, CompiledV2vKind::kSd, labels);
+  for (const auto& [type, kind] :
+       {std::pair{QueryType::kV2vEa, CompiledV2vKind::kEa},
+        std::pair{QueryType::kV2vLd, CompiledV2vKind::kLd},
+        std::pair{QueryType::kV2vSd, CompiledV2vKind::kSd}}) {
+    auto prog = CompileV2v(&db->db_, kind, db->labels_.get());
+    PTLDB_RETURN_IF_ERROR(prog.status());
+    db->v2v_programs_[static_cast<size_t>(type)] = *prog;
+  }
   return db;
 }
 
@@ -144,80 +141,72 @@ Status PtldbDatabase::AddTargetSet(const std::string& name,
   std::vector<StopId> canon = targets;
   std::sort(canon.begin(), canon.end());
   canon.erase(std::unique(canon.begin(), canon.end()), canon.end());
-  PTLDB_RETURN_IF_ERROR(BuildTargetSetTables(index, canon, kmax, name, &db_,
-                                             bucket_seconds, num_threads_));
+  // The analyzer's call graph is keyed by bare names, so the table
+  // build's ThreadPool::Submit resolves to PtldbServer::Submit too, whose
+  // dispatch validates set names under sets_mu_. The pool runs table
+  // builders only and takes no facade lock.
+  PTLDB_RETURN_IF_ERROR(BuildTargetSetTables(  // NOLINT(lock-order)
+      index, canon, kmax, name, &db_, bucket_seconds, num_threads_));
   TargetSetInfo info;
   info.kmax = kmax;
   info.bucket_seconds = bucket_seconds;
   info.max_bucket = CheckedBucketOf(max_event_time_, bucket_seconds);
   info.targets = std::move(canon);
-  // Compile the four bucket-scan programs once per set; the kNN/OTM entry
-  // points select a stored program instead of building a plan per query.
-  // OTM programs share the kNN scan shape with k clamped to kmax at
-  // compile time and 0 at run time (no output truncation).
-  info.ea_knn_program =
-      CompileSetQuery(&db_, /*ld=*/false, KnnEaTableName(name),
-                      bucket_seconds, info.max_bucket, kmax, labels_.get());
-  info.ld_knn_program =
-      CompileSetQuery(&db_, /*ld=*/true, KnnLdTableName(name),
-                      bucket_seconds, info.max_bucket, kmax, labels_.get());
-  info.ea_otm_program =
-      CompileSetQuery(&db_, /*ld=*/false, OtmEaTableName(name),
-                      bucket_seconds, info.max_bucket, /*kmax=*/0,
-                      labels_.get());
-  info.ld_otm_program =
-      CompileSetQuery(&db_, /*ld=*/true, OtmLdTableName(name),
-                      bucket_seconds, info.max_bucket, /*kmax=*/0,
-                      labels_.get());
+  // Compile the set's six programs once; the kNN/OTM entry points only
+  // select one. OTM programs share the kNN scan shape with kmax 0 at
+  // compile time and k 0 at run time (no output truncation).
+  const struct {
+    VmProgram* slot;
+    VmOp scan;
+    std::string table;
+    uint32_t kmax;
+  } programs[] = {
+      {&info.ea_knn_program, VmOp::kScanEaBuckets, KnnEaTableName(name), kmax},
+      {&info.ld_knn_program, VmOp::kScanLdBuckets, KnnLdTableName(name), kmax},
+      {&info.ea_otm_program, VmOp::kScanEaBuckets, OtmEaTableName(name), 0},
+      {&info.ld_otm_program, VmOp::kScanLdBuckets, OtmLdTableName(name), 0},
+      {&info.ea_naive_program, VmOp::kScanNaiveEa, NaiveKnnTableName(name),
+       kmax},
+      {&info.ld_naive_program, VmOp::kScanNaiveLd, NaiveKnnTableName(name),
+       kmax},
+  };
+  for (const auto& p : programs) {
+    auto prog = CompileSetQuery(&db_, p.scan, p.table, bucket_seconds,
+                                info.max_bucket, p.kmax, labels_.get());
+    PTLDB_RETURN_IF_ERROR(prog.status());
+    *p.slot = *prog;
+  }
   target_sets_.emplace(name, std::move(info));
   return Status::Ok();
 }
 
 Result<EventTime> PtldbDatabase::EarliestArrival(StopId s, StopId g,
                                                  EventTime t) {
-  last_degraded_.store(false, std::memory_order_relaxed);
-  return Timed(QueryType::kV2vEa, {.s = s, .g = g, .t = t},
-               [&]() -> Result<EventTime> {
-                 const VmProgram& prog =
-                     v2v_programs_[static_cast<size_t>(QueryType::kV2vEa)];
-                 if (compiled_queries_.load(std::memory_order_relaxed) &&
-                     prog.valid) {
-                   return RunCompiledV2v(&db_, prog, s, g, t,
-                                         /*t_end=*/EventTime());
-                 }
-                 return QueryV2vEa(&db_, s, g, t, labels_.get());
-               });
+  return Timed(QueryType::kV2vEa, {.s = s, .g = g, .t = t}, [&] {
+    return RunCompiledV2v(
+        &db_, v2v_programs_[static_cast<size_t>(QueryType::kV2vEa)], s, g, t,
+        /*t_end=*/EventTime());
+  });
 }
 
 Result<EventTime> PtldbDatabase::LatestDeparture(StopId s, StopId g,
                                                  EventTime t_end) {
-  last_degraded_.store(false, std::memory_order_relaxed);
-  return Timed(QueryType::kV2vLd, {.s = s, .g = g, .t_end = t_end},
-               [&]() -> Result<EventTime> {
-                 const VmProgram& prog =
-                     v2v_programs_[static_cast<size_t>(QueryType::kV2vLd)];
-                 if (compiled_queries_.load(std::memory_order_relaxed) &&
-                     prog.valid) {
-                   return RunCompiledV2v(&db_, prog, s, g, /*t=*/EventTime(),
-                                         t_end);
-                 }
-                 return QueryV2vLd(&db_, s, g, t_end, labels_.get());
-               });
+  return Timed(QueryType::kV2vLd, {.s = s, .g = g, .t_end = t_end}, [&] {
+    return RunCompiledV2v(
+        &db_, v2v_programs_[static_cast<size_t>(QueryType::kV2vLd)], s, g,
+        /*t=*/EventTime(), t_end);
+  });
 }
 
 Result<Duration> PtldbDatabase::ShortestDuration(StopId s, StopId g,
                                                  EventTime t,
                                                  EventTime t_end) {
-  last_degraded_.store(false, std::memory_order_relaxed);
   return Timed(QueryType::kV2vSd, {.s = s, .g = g, .t = t, .t_end = t_end},
-               [&]() -> Result<Duration> {
-                 const VmProgram& prog =
-                     v2v_programs_[static_cast<size_t>(QueryType::kV2vSd)];
-                 if (compiled_queries_.load(std::memory_order_relaxed) &&
-                     prog.valid) {
-                   return RunCompiledV2vSd(&db_, prog, s, g, t, t_end);
-                 }
-                 return QueryV2vSd(&db_, s, g, t, t_end, labels_.get());
+               [&] {
+                 return RunCompiledV2vSd(
+                     &db_,
+                     v2v_programs_[static_cast<size_t>(QueryType::kV2vSd)],
+                     s, g, t, t_end);
                });
 }
 
@@ -227,7 +216,7 @@ namespace {
 /// true earliest arrival at q is t itself — and symmetrically the latest
 /// departure to reach q by t_end is t_end. The label join cannot see this
 /// "stay put" journey (labels encode only connections), so every facade
-/// path — optimized plan, naive plan, degraded per-target fallback —
+/// path — bucket program, naive program, degraded per-target fallback —
 /// patches the self entry in afterwards. This keeps all paths consistent
 /// with each other and with the brute oracle.
 void PatchSelfTarget(std::vector<StopTimeResult>* out,
@@ -269,12 +258,16 @@ Result<const PtldbDatabase::TargetSetInfo*> PtldbDatabase::ValidateSet(
 
 Result<std::vector<StopTimeResult>> PtldbDatabase::EaFallback(
     const TargetSetInfo& info, StopId q, EventTime t, uint32_t k) {
+  // Runs after the set program has returned its result by value, so the
+  // per-target v2v programs may reset the VM arena freely.
+  const VmProgram& prog =
+      v2v_programs_[static_cast<size_t>(QueryType::kV2vEa)];
   std::vector<StopTimeResult> out;
   for (const StopId v : info.targets) {
-    // The fallback is |T| v2v plans back to back — the slowest facade
+    // The fallback is |T| v2v programs back to back — the slowest facade
     // path, so it checkpoints per target on top of the per-page checks.
     PTLDB_RETURN_IF_ERROR(CheckQueryCheckpoint());
-    auto ea = QueryV2vEa(&db_, q, v, t, labels_.get());
+    auto ea = RunCompiledV2v(&db_, prog, q, v, t, /*t_end=*/EventTime());
     PTLDB_RETURN_IF_ERROR(ea.status());
     if (*ea != EventTime::Infinity()) out.push_back({v, *ea});
   }
@@ -288,10 +281,12 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::EaFallback(
 
 Result<std::vector<StopTimeResult>> PtldbDatabase::LdFallback(
     const TargetSetInfo& info, StopId q, EventTime t, uint32_t k) {
+  const VmProgram& prog =
+      v2v_programs_[static_cast<size_t>(QueryType::kV2vLd)];
   std::vector<StopTimeResult> out;
   for (const StopId v : info.targets) {
     PTLDB_RETURN_IF_ERROR(CheckQueryCheckpoint());
-    auto ld = QueryV2vLd(&db_, q, v, t, labels_.get());
+    auto ld = RunCompiledV2v(&db_, prog, q, v, /*t=*/EventTime(), t);
     PTLDB_RETURN_IF_ERROR(ld.status());
     if (*ld != EventTime::NegInfinity()) out.push_back({v, *ld});
   }
@@ -312,7 +307,6 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::OrDegrade(
   // 3.2's baseline), just slower.
   auto fallback = ld ? LdFallback(info, q, t, k) : EaFallback(info, q, t, k);
   if (!fallback.ok()) return primary;  // Both paths faulted: first error.
-  last_degraded_.store(true, std::memory_order_relaxed);
   tls_last_degraded = true;
   degraded_->Add(1);
   (primary.status().code() == Status::Code::kCorruption
@@ -327,7 +321,6 @@ void PtldbDatabase::ClearThreadDegradedFlag() { tls_last_degraded = false; }
 
 Result<std::vector<StopTimeResult>> PtldbDatabase::EaFallbackQuery(
     const std::string& set_name, StopId q, EventTime t, uint32_t k) {
-  last_degraded_.store(false, std::memory_order_relaxed);
   const QueryType type = k == 0 ? QueryType::kEaOtm : QueryType::kEaKnn;
   return Timed(type,
                {.s = q, .t = t, .k = k, .set_name = set_name.c_str()},
@@ -346,7 +339,6 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::EaFallbackQuery(
 
 Result<std::vector<StopTimeResult>> PtldbDatabase::LdFallbackQuery(
     const std::string& set_name, StopId q, EventTime t, uint32_t k) {
-  last_degraded_.store(false, std::memory_order_relaxed);
   const QueryType type = k == 0 ? QueryType::kLdOtm : QueryType::kLdKnn;
   return Timed(type,
                {.s = q, .t = t, .k = k, .set_name = set_name.c_str()},
@@ -361,18 +353,13 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::LdFallbackQuery(
 
 Result<std::vector<StopTimeResult>> PtldbDatabase::EaKnn(
     const std::string& set_name, StopId q, EventTime t, uint32_t k) {
-  last_degraded_.store(false, std::memory_order_relaxed);
   return Timed(QueryType::kEaKnn,
                {.s = q, .t = t, .k = k, .set_name = set_name.c_str()},
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, k);
     if (!info.ok()) return info.status();
-    const VmProgram& prog = (*info)->ea_knn_program;
     auto primary =
-        compiled_queries_.load(std::memory_order_relaxed) && prog.valid
-            ? RunCompiledSetQuery(&db_, prog, q, t, k)
-            : QueryEaKnn(&db_, set_name, q, t, k, (*info)->bucket_seconds,
-                         labels_.get());
+        RunCompiledSetQuery(&db_, (*info)->ea_knn_program, q, t, k);
     auto r = OrDegrade(std::move(primary), **info, q, t, k, /*ld=*/false);
     if (r.ok()) PatchSelfTarget(&*r, (*info)->targets, q, t, k, /*ld=*/false);
     return r;
@@ -381,18 +368,13 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::EaKnn(
 
 Result<std::vector<StopTimeResult>> PtldbDatabase::LdKnn(
     const std::string& set_name, StopId q, EventTime t, uint32_t k) {
-  last_degraded_.store(false, std::memory_order_relaxed);
   return Timed(QueryType::kLdKnn,
                {.s = q, .t = t, .k = k, .set_name = set_name.c_str()},
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, k);
     if (!info.ok()) return info.status();
-    const VmProgram& prog = (*info)->ld_knn_program;
     auto primary =
-        compiled_queries_.load(std::memory_order_relaxed) && prog.valid
-            ? RunCompiledSetQuery(&db_, prog, q, t, k)
-            : QueryLdKnn(&db_, set_name, q, t, k, (*info)->bucket_seconds,
-                         (*info)->max_bucket, labels_.get());
+        RunCompiledSetQuery(&db_, (*info)->ld_knn_program, q, t, k);
     auto r = OrDegrade(std::move(primary), **info, q, t, k, /*ld=*/true);
     if (r.ok()) PatchSelfTarget(&*r, (*info)->targets, q, t, k, /*ld=*/true);
     return r;
@@ -401,13 +383,12 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::LdKnn(
 
 Result<std::vector<StopTimeResult>> PtldbDatabase::EaKnnNaive(
     const std::string& set_name, StopId q, EventTime t, uint32_t k) {
-  last_degraded_.store(false, std::memory_order_relaxed);
   return Timed(QueryType::kEaKnn,
                {.s = q, .t = t, .k = k, .set_name = set_name.c_str()},
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, k);
     if (!info.ok()) return info.status();
-    auto r = QueryEaKnnNaive(&db_, set_name, q, t, k, labels_.get());
+    auto r = RunCompiledSetQuery(&db_, (*info)->ea_naive_program, q, t, k);
     if (r.ok()) PatchSelfTarget(&*r, (*info)->targets, q, t, k, /*ld=*/false);
     return r;
   });
@@ -415,13 +396,12 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::EaKnnNaive(
 
 Result<std::vector<StopTimeResult>> PtldbDatabase::LdKnnNaive(
     const std::string& set_name, StopId q, EventTime t, uint32_t k) {
-  last_degraded_.store(false, std::memory_order_relaxed);
   return Timed(QueryType::kLdKnn,
                {.s = q, .t = t, .k = k, .set_name = set_name.c_str()},
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, k);
     if (!info.ok()) return info.status();
-    auto r = QueryLdKnnNaive(&db_, set_name, q, t, k, labels_.get());
+    auto r = RunCompiledSetQuery(&db_, (*info)->ld_naive_program, q, t, k);
     if (r.ok()) PatchSelfTarget(&*r, (*info)->targets, q, t, k, /*ld=*/true);
     return r;
   });
@@ -429,18 +409,13 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::LdKnnNaive(
 
 Result<std::vector<StopTimeResult>> PtldbDatabase::EaOneToMany(
     const std::string& set_name, StopId q, EventTime t) {
-  last_degraded_.store(false, std::memory_order_relaxed);
   return Timed(QueryType::kEaOtm,
                {.s = q, .t = t, .set_name = set_name.c_str()},
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, 1);
     if (!info.ok()) return info.status();
-    const VmProgram& prog = (*info)->ea_otm_program;
     auto primary =
-        compiled_queries_.load(std::memory_order_relaxed) && prog.valid
-            ? RunCompiledSetQuery(&db_, prog, q, t, /*k=*/0)
-            : QueryEaOtm(&db_, set_name, q, t, (*info)->bucket_seconds,
-                         labels_.get());
+        RunCompiledSetQuery(&db_, (*info)->ea_otm_program, q, t, /*k=*/0);
     auto r = OrDegrade(std::move(primary), **info, q, t, /*k=*/0, /*ld=*/false);
     if (r.ok()) {
       PatchSelfTarget(&*r, (*info)->targets, q, t, /*k=*/0, /*ld=*/false);
@@ -451,18 +426,13 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::EaOneToMany(
 
 Result<std::vector<StopTimeResult>> PtldbDatabase::LdOneToMany(
     const std::string& set_name, StopId q, EventTime t) {
-  last_degraded_.store(false, std::memory_order_relaxed);
   return Timed(QueryType::kLdOtm,
                {.s = q, .t = t, .set_name = set_name.c_str()},
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, 1);
     if (!info.ok()) return info.status();
-    const VmProgram& prog = (*info)->ld_otm_program;
     auto primary =
-        compiled_queries_.load(std::memory_order_relaxed) && prog.valid
-            ? RunCompiledSetQuery(&db_, prog, q, t, /*k=*/0)
-            : QueryLdOtm(&db_, set_name, q, t, (*info)->bucket_seconds,
-                         (*info)->max_bucket, labels_.get());
+        RunCompiledSetQuery(&db_, (*info)->ld_otm_program, q, t, /*k=*/0);
     auto r = OrDegrade(std::move(primary), **info, q, t, /*k=*/0, /*ld=*/true);
     if (r.ok()) {
       PatchSelfTarget(&*r, (*info)->targets, q, t, /*k=*/0, /*ld=*/true);
@@ -483,7 +453,6 @@ PtldbDatabase::QueryStats PtldbDatabase::query_stats() const {
     out.queries += out.by_type[i];
   }
   out.degraded = degraded_->value();
-  out.last_degraded = last_degraded_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -495,7 +464,6 @@ void PtldbDatabase::ResetQueryStats() {
   degraded_->Reset();
   degraded_io_error_->Reset();
   degraded_corruption_->Reset();
-  last_degraded_.store(false, std::memory_order_relaxed);
 }
 
 MetricsSnapshot PtldbDatabase::Snapshot() const { return db_.Snapshot(); }

@@ -2,7 +2,6 @@
 #define PTLDB_PTLDB_PTLDB_H_
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -67,16 +66,6 @@ struct PtldbOptions {
   /// the only tier when this is false (the seed behavior). Answers are
   /// identical in both modes; the differential harness pins it.
   bool compressed_labels = false;
-  /// Execute the seven query types as compiled VM programs (engine/vm.h,
-  /// DESIGN.md "Compiled query programs & arena memory"): each type
-  /// compiles once — Code 1 at Build, Codes 2-4 per target set — and the
-  /// entry points run the stored program with all scratch in a
-  /// per-request bump arena instead of constructing a volcano plan per
-  /// call. Answers are identical (the differential harness pins it);
-  /// the volcano interpreter remains the general-SQL surface and the
-  /// fallback when a program fails to compile. Togglable at runtime via
-  /// set_compiled_queries() for paired benchmarking.
-  bool compiled_queries = true;
   /// Structured request history: ring capacity, tail-sampling policy and
   /// slow-query threshold (DESIGN.md §11). Always on by default — the
   /// CI overhead gate pins the cost — and togglable at runtime via
@@ -126,14 +115,15 @@ class PtldbDatabase {
   // --- kNN queries (Section 3.2); k must be <= the set's kmax ---
   // Graceful degradation: when the optimized knn_*/otm_* tables hit a
   // storage fault, the facade re-answers from per-target v2v label queries
-  // (the paper's Section 3.2 baseline) and records degraded=true in
-  // query_stats(). Only if the fallback faults too does the error surface.
+  // (the paper's Section 3.2 baseline), counts the event in
+  // query_stats().degraded and sets LastQueryDegradedOnThisThread(). Only
+  // if the fallback faults too does the error surface.
   //
   // Edge semantics (shared with the brute oracle):
   //  - k > |T| is fine: the answer simply has fewer than k entries.
   //  - q ∈ T: the querier already stands at target q, so q reports
   //    arrival t (EA) / departure t_end (LD) — "stay put" beats any
-  //    label journey. Every path (plan, naive, fallback) agrees.
+  //    label journey. Every path (bucket, naive, fallback) agrees.
   //  - Unreachable targets are omitted, never reported with a sentinel.
   Result<std::vector<StopTimeResult>> EaKnn(const std::string& set_name,
                                             StopId q, EventTime t, uint32_t k);
@@ -218,17 +208,6 @@ class PtldbDatabase {
   /// and benchmarks (bytes/label accounting).
   const LabelStore* label_store() const { return labels_.get(); }
 
-  /// Runtime toggle for the compiled-program path (initialized from
-  /// PtldbOptions::compiled_queries). Off = every entry point builds the
-  /// volcano plan, exactly the pre-VM behavior; benchmarks flip this to
-  /// pair interpreter and VM phases on one database.
-  void set_compiled_queries(bool on) {
-    compiled_queries_.store(on, std::memory_order_relaxed);
-  }
-  bool compiled_queries() const {
-    return compiled_queries_.load(std::memory_order_relaxed);
-  }
-
   /// Metadata of a registered target set.
   struct TargetSetInfo {
     std::string name;
@@ -237,14 +216,16 @@ class PtldbDatabase {
     int32_t max_bucket = 0;  ///< LD deadlines clamp to this bucket.
     /// The target stops, kept for the degraded v2v fallback path.
     std::vector<StopId> targets;
-    /// Compiled programs for this set's four bucket-query flavors
-    /// (engine/vm.h), bound at AddTargetSet. They differ only in the
-    /// bucket table and scan direction. POD copies; the table pointers
-    /// inside stay valid for the database's lifetime.
+    /// Compiled programs for this set's four bucket-query flavors and the
+    /// two naive Code 2 baselines (engine/vm.h), bound at AddTargetSet.
+    /// They differ only in the table and the scan op. POD copies; the
+    /// table pointers inside stay valid for the database's lifetime.
     VmProgram ea_knn_program;
     VmProgram ld_knn_program;
     VmProgram ea_otm_program;
     VmProgram ld_otm_program;
+    VmProgram ea_naive_program;
+    VmProgram ld_naive_program;
   };
 
   /// Per-facade query accounting, including degradation events. A
@@ -253,8 +234,7 @@ class PtldbDatabase {
   /// multiple threads query one database concurrently.
   struct QueryStats {
     uint64_t queries = 0;    ///< Facade queries answered (any type).
-    uint64_t degraded = 0;   ///< Answered via the v2v fallback plan.
-    bool last_degraded = false;  ///< Whether the last query degraded.
+    uint64_t degraded = 0;   ///< Answered via the v2v fallback.
     /// Queries per type, indexed by QueryType. The naive kNN baselines
     /// count toward their kNN type. Sums to `queries`.
     std::array<uint64_t, kNumQueryTypes> by_type = {};
@@ -384,8 +364,6 @@ class PtldbDatabase {
   uint32_t num_stops_ = 0;
   /// Latest event timestamp of the loaded index (LD deadline clamping).
   EventTime max_event_time_;
-  /// Runtime switch for the compiled path (see set_compiled_queries).
-  std::atomic<bool> compiled_queries_{true};
   /// The three Code 1 programs, compiled once at Build (indexed by
   /// QueryType kV2vEa/kV2vLd/kV2vSd). Immutable afterwards, read
   /// lock-free by concurrent queries.
@@ -417,7 +395,6 @@ class PtldbDatabase {
   Counter* ttl_decodes_ = nullptr;
   Counter* ttl_decode_bytes_ = nullptr;
   Counter* vm_steps_ = nullptr;
-  std::atomic<bool> last_degraded_{false};
 
   /// Structured request history (never null; see query_log()). Owned
   /// here so the ring lives exactly as long as the registry it reports
@@ -428,9 +405,8 @@ class PtldbDatabase {
 };
 
 /// Whether the last facade query executed on the *calling thread* was
-/// answered via the degraded v2v fallback. Unlike
-/// QueryStats::last_degraded (one flag shared by every thread), this is
-/// exact under concurrent serving; the server's per-table circuit
+/// answered via the degraded v2v fallback. A query runs on one thread, so
+/// this is exact under concurrent serving; the server's per-table circuit
 /// breaker reads it after each kNN/OTM call.
 bool LastQueryDegradedOnThisThread();
 

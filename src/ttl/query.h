@@ -12,7 +12,7 @@ namespace ptldb {
 /// (ii) tuples of L_in(g) with hub == s, (iii) joined tuple pairs with a
 /// common hub and l1.ta <= l2.td.
 ///
-/// These are the reference answers the PTLDB database plans are tested
+/// These are the reference answers the PTLDB database queries are tested
 /// against; they work with or without dummy tuples.
 
 /// Earliest arrival at g over journeys leaving s no sooner than t;

@@ -27,6 +27,7 @@
 #include "baseline/brute.h"
 #include "baseline/csa.h"
 #include "common/rng.h"
+#include "paper_sql.h"
 #include "ptldb/ptldb.h"
 #include "timetable/generator.h"
 #include "ttl/builder.h"
@@ -57,16 +58,6 @@ uint32_t TestThreads() {
 bool TestCompressed() {
   const char* env = std::getenv("PTLDB_TEST_COMPRESSED");
   return env != nullptr && *env != '\0' && *env != '0';
-}
-
-// PTLDB_TEST_VM selects which executor the whole harness drives: unset or
-// nonzero runs the compiled register-VM programs (the production default),
-// PTLDB_TEST_VM=0 pins the volcano interpreter so the fallback path keeps
-// its own full oracle coverage. The head-to-head VmMatchesInterpreterPath
-// test below covers both in every configuration.
-bool TestVm() {
-  const char* env = std::getenv("PTLDB_TEST_VM");
-  return env == nullptr || *env == '\0' || *env != '0';
 }
 
 struct Network {
@@ -131,7 +122,7 @@ EventTime RandomTime(Rng* rng, const Network& net) {
                                net.tt.max_time().raw_seconds()));
 }
 
-// Fresh in-memory database over `index` with one target set named "T".
+// Fresh in-memory database over `index` with one target set named "t".
 std::unique_ptr<PtldbDatabase> MakeDbWith(const TtlIndex& index,
                                           const std::vector<StopId>& targets,
                                           uint32_t kmax, bool compressed) {
@@ -139,10 +130,9 @@ std::unique_ptr<PtldbDatabase> MakeDbWith(const TtlIndex& index,
   options.device = DeviceProfile::Ram();
   options.num_threads = TestThreads();
   options.compressed_labels = compressed;
-  options.compiled_queries = TestVm();
   auto db = PtldbDatabase::Build(index, options);
   EXPECT_TRUE(db.ok()) << db.status().ToString();
-  EXPECT_TRUE((*db)->AddTargetSet("T", index, targets, kmax).ok());
+  EXPECT_TRUE((*db)->AddTargetSet("t", index, targets, kmax).ok());
   return std::move(db).value();
 }
 
@@ -250,13 +240,13 @@ std::optional<std::string> CheckSetQuery(const Network& net,
   const std::string type_s = type;
   Result<std::vector<StopTimeResult>> got = std::vector<StopTimeResult>{};
   if (type_s == "EA-kNN") {
-    got = db->EaKnn("T", q, t, k);
+    got = db->EaKnn("t", q, t, k);
   } else if (type_s == "LD-kNN") {
-    got = db->LdKnn("T", q, t, k);
+    got = db->LdKnn("t", q, t, k);
   } else if (type_s == "EA-OTM") {
-    got = db->EaOneToMany("T", q, t);
+    got = db->EaOneToMany("t", q, t);
   } else {
-    got = db->LdOneToMany("T", q, t);
+    got = db->LdOneToMany("t", q, t);
   }
   if (!got.ok()) return "query error: " + got.status().ToString();
   const bool ea = type_s == "EA-kNN" || type_s == "EA-OTM";
@@ -365,8 +355,8 @@ TEST(DifferentialTest, AllQueryTypesMatchOraclesOnRandomNetworks) {
         // the first evaluation, then shrink with fresh databases.
         std::optional<std::string> bad;
         if (knn) {
-          auto got = std::string(type) == "EA-kNN" ? db->EaKnn("T", q, t, k)
-                                                   : db->LdKnn("T", q, t, k);
+          auto got = std::string(type) == "EA-kNN" ? db->EaKnn("t", q, t, k)
+                                                   : db->LdKnn("t", q, t, k);
           if (!got.ok()) {
             bad = "query error: " + got.status().ToString();
           } else {
@@ -405,13 +395,13 @@ TEST(DifferentialTest, NaiveKnnPlansMatchOracles) {
       const auto k = static_cast<uint32_t>(rng.NextInRange(1, kMaxK));
       const auto ea_brute = BruteEaOneToMany(net.tt, q, net.targets, t);
       const auto ld_brute = BruteLdOneToMany(net.tt, q, net.targets, t);
-      const auto ea = db->EaKnnNaive("T", q, t, k);
+      const auto ea = db->EaKnnNaive("t", q, t, k);
       ASSERT_TRUE(ea.ok());
       if (auto bad = ValidateKnn(*ea, ea_brute, k)) {
         ADD_FAILURE() << "seed=" << seed << " query=EA-kNN-naive q=" << q
                       << " t=" << t << " k=" << k << " -- " << *bad;
       }
-      const auto ld = db->LdKnnNaive("T", q, t, k);
+      const auto ld = db->LdKnnNaive("t", q, t, k);
       ASSERT_TRUE(ld.ok());
       if (auto bad = ValidateKnn(*ld, ld_brute, k)) {
         ADD_FAILURE() << "seed=" << seed << " query=LD-kNN-naive q=" << q
@@ -462,23 +452,23 @@ TEST(DifferentialTest, CompressedLabelTierMatchesRawPath) {
                               << " g=" << g << " t=" << t
                               << " t_end=" << t_end;
 
-      const auto eaknn_r = raw->EaKnn("T", s, t, k);
-      const auto eaknn_c = comp->EaKnn("T", s, t, k);
+      const auto eaknn_r = raw->EaKnn("t", s, t, k);
+      const auto eaknn_c = comp->EaKnn("t", s, t, k);
       ASSERT_TRUE(eaknn_r.ok() && eaknn_c.ok());
       EXPECT_EQ(*eaknn_r, *eaknn_c) << "EA-kNN seed=" << seed << " q=" << s
                                     << " t=" << t << " k=" << k;
-      const auto ldknn_r = raw->LdKnn("T", s, t, k);
-      const auto ldknn_c = comp->LdKnn("T", s, t, k);
+      const auto ldknn_r = raw->LdKnn("t", s, t, k);
+      const auto ldknn_c = comp->LdKnn("t", s, t, k);
       ASSERT_TRUE(ldknn_r.ok() && ldknn_c.ok());
       EXPECT_EQ(*ldknn_r, *ldknn_c) << "LD-kNN seed=" << seed << " q=" << s
                                     << " t=" << t << " k=" << k;
-      const auto eaotm_r = raw->EaOneToMany("T", s, t);
-      const auto eaotm_c = comp->EaOneToMany("T", s, t);
+      const auto eaotm_r = raw->EaOneToMany("t", s, t);
+      const auto eaotm_c = comp->EaOneToMany("t", s, t);
       ASSERT_TRUE(eaotm_r.ok() && eaotm_c.ok());
       EXPECT_EQ(*eaotm_r, *eaotm_c) << "EA-OTM seed=" << seed << " q=" << s
                                     << " t=" << t;
-      const auto ldotm_r = raw->LdOneToMany("T", s, t);
-      const auto ldotm_c = comp->LdOneToMany("T", s, t);
+      const auto ldotm_r = raw->LdOneToMany("t", s, t);
+      const auto ldotm_c = comp->LdOneToMany("t", s, t);
       ASSERT_TRUE(ldotm_r.ok() && ldotm_c.ok());
       EXPECT_EQ(*ldotm_r, *ldotm_c) << "LD-OTM seed=" << seed << " q=" << s
                                     << " t=" << t;
@@ -492,19 +482,23 @@ TEST(DifferentialTest, CompressedLabelTierMatchesRawPath) {
   }
 }
 
-// Compiled register-VM programs vs. the volcano interpreter, head to head
-// on the same database (toggled per trial via set_compiled_queries) for
-// all seven query types on both label tiers. The two executors share the
-// merge kernels but nothing else — plan shape, scratch memory, aggregation
-// and top-k all differ — so bit-for-bit agreement here plus the oracle
-// coverage above pins the compiled path end to end. The vm_steps counter
-// proves each half really took the executor it claims: it moves on every
-// compiled query and stays flat across the interpreter half.
+// The compiled register-VM programs vs. the paper's literal Codes 1-4 run
+// by the SQL interpreter (paper_sql.h), head to head on the same database
+// for all seven query types plus the naive Code 2 baselines, on both label
+// tiers. The two executors share nothing above the table reader — plan
+// shape, scratch memory, aggregation and top-k all differ — so
+// bit-for-bit agreement here plus the oracle coverage above pins the VM
+// to the paper's text. The literal SQL has no "stay put" rule, so the
+// set-query source q is drawn outside T. The vm_steps counter proves each
+// half took the executor it claims: it moves on every VM query and stays
+// flat across the SQL half.
 TEST(DifferentialTest, VmMatchesInterpreterPath) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const Network net = MakeNetwork(seed);
+    const std::set<StopId> in_t(net.targets.begin(), net.targets.end());
     for (const bool compressed : {false, true}) {
       auto db = MakeDbWith(net.index, net.targets, kMaxK, compressed);
+      PaperSql sql(db.get(), "t");
       Rng rng(seed * 0x9e3779b97f4a7c15ULL + 101);
       const EventTime lo = net.tt.min_time();
       const EventTime hi = net.tt.max_time();
@@ -515,57 +509,66 @@ TEST(DifferentialTest, VmMatchesInterpreterPath) {
         StopId s = static_cast<StopId>(rng.NextBelow(net.tt.num_stops()));
         StopId g = static_cast<StopId>(rng.NextBelow(net.tt.num_stops()));
         if (g == s) g = (g + 1) % net.tt.num_stops();
+        StopId q = s;
+        while (in_t.count(q) != 0) q = (q + 1) % net.tt.num_stops();
         const EventTime t = RandomTime(&rng, net);
         const auto t_end = std::max(
             t, TSec(rng.NextInRange(lo.raw_seconds(), hi.raw_seconds())));
         const auto k = static_cast<uint32_t>(rng.NextInRange(1, kMaxK));
 
         const uint64_t steps_before = vm_steps();
-        db->set_compiled_queries(true);
         const auto ea_v = db->EarliestArrival(s, g, t);
         const auto ld_v = db->LatestDeparture(s, g, t_end);
         const auto sd_v = db->ShortestDuration(s, g, t, t_end);
-        const auto eaknn_v = db->EaKnn("T", s, t, k);
-        const auto ldknn_v = db->LdKnn("T", s, t, k);
-        const auto eaotm_v = db->EaOneToMany("T", s, t);
-        const auto ldotm_v = db->LdOneToMany("T", s, t);
+        const auto eaknn_v = db->EaKnn("t", q, t, k);
+        const auto ldknn_v = db->LdKnn("t", q, t, k);
+        const auto eaotm_v = db->EaOneToMany("t", q, t);
+        const auto ldotm_v = db->LdOneToMany("t", q, t);
+        const auto eanaive_v = db->EaKnnNaive("t", q, t, k);
+        const auto ldnaive_v = db->LdKnnNaive("t", q, t, k);
         const uint64_t steps_mid = vm_steps();
         EXPECT_GT(steps_mid, steps_before)
-            << "compiled half did not execute on the VM";
+            << "facade half did not execute on the VM";
 
-        db->set_compiled_queries(false);
-        const auto ea_i = db->EarliestArrival(s, g, t);
-        const auto ld_i = db->LatestDeparture(s, g, t_end);
-        const auto sd_i = db->ShortestDuration(s, g, t, t_end);
-        const auto eaknn_i = db->EaKnn("T", s, t, k);
-        const auto ldknn_i = db->LdKnn("T", s, t, k);
-        const auto eaotm_i = db->EaOneToMany("T", s, t);
-        const auto ldotm_i = db->LdOneToMany("T", s, t);
+        const auto ea_s = sql.Ea(s, g, t);
+        const auto ld_s = sql.Ld(s, g, t_end);
+        const auto sd_s = sql.Sd(s, g, t, t_end);
+        const auto eaknn_s = sql.EaKnn(q, t, k);
+        const auto ldknn_s = sql.LdKnn(q, t, k);
+        const auto eaotm_s = sql.EaOtm(q, t);
+        const auto ldotm_s = sql.LdOtm(q, t);
+        const auto eanaive_s = sql.EaKnnNaive(q, t, k);
+        const auto ldnaive_s = sql.LdKnnNaive(q, t, k);
         EXPECT_EQ(vm_steps(), steps_mid)
-            << "interpreter half touched the VM step counter";
+            << "SQL half touched the VM step counter";
 
-        ASSERT_TRUE(ea_v.ok() && ea_i.ok());
-        EXPECT_EQ(*ea_v, *ea_i) << "EA seed=" << seed << " s=" << s
-                                << " g=" << g << " t=" << t;
-        ASSERT_TRUE(ld_v.ok() && ld_i.ok());
-        EXPECT_EQ(*ld_v, *ld_i) << "LD seed=" << seed << " s=" << s
-                                << " g=" << g << " t_end=" << t_end;
-        ASSERT_TRUE(sd_v.ok() && sd_i.ok());
-        EXPECT_EQ(*sd_v, *sd_i) << "SD seed=" << seed << " s=" << s
-                                << " g=" << g << " t=" << t
+        const std::string v2v_case = " seed=" + std::to_string(seed) +
+                                     " s=" + std::to_string(s) +
+                                     " g=" + std::to_string(g);
+        const std::string set_case = " seed=" + std::to_string(seed) +
+                                     " q=" + std::to_string(q) +
+                                     " k=" + std::to_string(k);
+        ASSERT_TRUE(ea_v.ok() && ea_s.ok()) << ea_s.status().ToString();
+        EXPECT_EQ(*ea_v, *ea_s) << "EA" << v2v_case << " t=" << t;
+        ASSERT_TRUE(ld_v.ok() && ld_s.ok()) << ld_s.status().ToString();
+        EXPECT_EQ(*ld_v, *ld_s) << "LD" << v2v_case << " t_end=" << t_end;
+        ASSERT_TRUE(sd_v.ok() && sd_s.ok()) << sd_s.status().ToString();
+        EXPECT_EQ(*sd_v, *sd_s) << "SD" << v2v_case << " t=" << t
                                 << " t_end=" << t_end;
-        ASSERT_TRUE(eaknn_v.ok() && eaknn_i.ok());
-        EXPECT_EQ(*eaknn_v, *eaknn_i) << "EA-kNN seed=" << seed << " q=" << s
-                                      << " t=" << t << " k=" << k;
-        ASSERT_TRUE(ldknn_v.ok() && ldknn_i.ok());
-        EXPECT_EQ(*ldknn_v, *ldknn_i) << "LD-kNN seed=" << seed << " q=" << s
-                                      << " t=" << t << " k=" << k;
-        ASSERT_TRUE(eaotm_v.ok() && eaotm_i.ok());
-        EXPECT_EQ(*eaotm_v, *eaotm_i) << "EA-OTM seed=" << seed << " q=" << s
-                                      << " t=" << t;
-        ASSERT_TRUE(ldotm_v.ok() && ldotm_i.ok());
-        EXPECT_EQ(*ldotm_v, *ldotm_i) << "LD-OTM seed=" << seed << " q=" << s
-                                      << " t=" << t;
+        ASSERT_TRUE(eaknn_v.ok() && eaknn_s.ok());
+        EXPECT_EQ(*eaknn_v, *eaknn_s) << "EA-kNN" << set_case << " t=" << t;
+        ASSERT_TRUE(ldknn_v.ok() && ldknn_s.ok());
+        EXPECT_EQ(*ldknn_v, *ldknn_s) << "LD-kNN" << set_case << " t=" << t;
+        ASSERT_TRUE(eaotm_v.ok() && eaotm_s.ok());
+        EXPECT_EQ(*eaotm_v, *eaotm_s) << "EA-OTM" << set_case << " t=" << t;
+        ASSERT_TRUE(ldotm_v.ok() && ldotm_s.ok());
+        EXPECT_EQ(*ldotm_v, *ldotm_s) << "LD-OTM" << set_case << " t=" << t;
+        ASSERT_TRUE(eanaive_v.ok() && eanaive_s.ok());
+        EXPECT_EQ(*eanaive_v, *eanaive_s)
+            << "EA-kNN-naive" << set_case << " t=" << t;
+        ASSERT_TRUE(ldnaive_v.ok() && ldnaive_s.ok());
+        EXPECT_EQ(*ldnaive_v, *ldnaive_s)
+            << "LD-kNN-naive" << set_case << " t=" << t;
       }
     }
   }

@@ -28,7 +28,7 @@ _spec.loader.exec_module(analyzer)
 
 def run_tree(name, checks=None):
     """Analyzes a fixture tree; returns the list of check ids found."""
-    findings, _, _ = analyzer.analyze_paths(
+    findings, _ = analyzer.analyze_paths(
         [os.path.join(_FIXTURES, name)], checks=checks)
     return [f.check for f in findings]
 
@@ -41,7 +41,7 @@ def run_source(source, rel_path="src/engine/something.cc", checks=None):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w") as f:
             f.write(source)
-        findings, _, _ = analyzer.analyze_paths([d], checks=checks)
+        findings, _ = analyzer.analyze_paths([d], checks=checks)
         return [f.check for f in findings]
 
 

@@ -396,7 +396,7 @@ TEST_F(FacadeMetricsTest, ResetQueryStatsZeroesPerTypeCounters) {
   for (size_t i = 0; i < kNumQueryTypes; ++i) {
     EXPECT_EQ(stats.by_type[i], 0u);
   }
-  EXPECT_FALSE(stats.last_degraded);
+  EXPECT_EQ(stats.degraded, 0u);
 }
 
 TEST_F(FacadeMetricsTest, TraceRecordsSpanPerQuery) {

@@ -7,9 +7,10 @@
 #include "baseline/brute.h"
 #include "baseline/csa.h"
 #include "common/rng.h"
+#include "paper_sql.h"
+#include "ptldb/compiled.h"
 #include "ptldb/ptldb.h"
 #include "ptldb/service_calendar.h"
-#include "ptldb/queries.h"
 #include "ptldb/tables.h"
 #include "timetable/example_graph.h"
 #include "timetable/generator.h"
@@ -299,30 +300,6 @@ TEST_P(PtldbBucketWidthTest, AnswersIndependentOfBucketWidth) {
 INSTANTIATE_TEST_SUITE_P(Widths, PtldbBucketWidthTest,
                          testing::Values(900, 1800, 3600, 7200, 14400));
 
-// The specialized merge plan must agree with the SQL-shaped plan.
-TEST(PtldbPlanTest, MergePlanMatchesSqlShapedPlan) {
-  const Timetable tt = SmallCity(88);
-  const TtlIndex index = BuildIndex(tt);
-  auto db = BuildDb(index);
-  Rng rng(21);
-  for (int i = 0; i < 120; ++i) {
-    const auto s = static_cast<StopId>(rng.NextBelow(tt.num_stops()));
-    auto g = static_cast<StopId>(rng.NextBelow(tt.num_stops()));
-    if (g == s) g = (g + 1) % tt.num_stops();
-    const auto t = TSec(rng.NextInRange(tt.min_time().raw_seconds(),
-                                        tt.max_time().raw_seconds()));
-    const auto t_end =
-        TSec(rng.NextInRange(t.raw_seconds(), tt.max_time().raw_seconds()));
-    EngineDatabase* engine = db->engine();
-    EXPECT_EQ(*QueryV2vEa(engine, s, g, t),
-              *QueryV2vEaMergePlan(engine, s, g, t));
-    EXPECT_EQ(*QueryV2vLd(engine, s, g, t_end),
-              *QueryV2vLdMergePlan(engine, s, g, t_end));
-    EXPECT_EQ(*QueryV2vSd(engine, s, g, t, t_end),
-              *QueryV2vSdMergePlan(engine, s, g, t, t_end));
-  }
-}
-
 // A stop that is never reached (only departures, never a hub target) has
 // an empty lin row; queries against it must come back empty, not crash.
 TEST(PtldbEdgeTest, UnreachableStopHasEmptyAnswers) {
@@ -349,6 +326,30 @@ TEST(PtldbEdgeTest, UnreachableStopHasEmptyAnswers) {
   const auto otm = db->LdOneToMany("T", y, TSec(99999));
   ASSERT_TRUE(otm.ok());
   EXPECT_TRUE(otm->empty());
+}
+
+// Compilation binds tables by name once; a table that was never built
+// fails compilation itself (and with it Build/AddTargetSet), so no stored
+// program can name a missing table.
+TEST(PtldbEdgeTest, CompileFailsOnUnbuiltTable) {
+  EngineDatabase empty(DeviceProfile::Ram());
+  const auto v2v = CompileV2v(&empty, CompiledV2vKind::kEa, nullptr);
+  ASSERT_FALSE(v2v.ok());
+  EXPECT_EQ(v2v.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(v2v.status().ToString().find("table not built: lout"),
+            std::string::npos);
+
+  const Timetable tt = MakeExampleTimetable();
+  const TtlIndex index = BuildIndex(tt);
+  auto db = BuildDb(index);
+  for (const VmOp scan : {VmOp::kScanEaBuckets, VmOp::kScanNaiveLd}) {
+    const auto set = CompileSetQuery(db->engine(), scan, "knn_ea_missing",
+                                     kHourBucket, 24, 4, nullptr);
+    ASSERT_FALSE(set.ok());
+    EXPECT_EQ(set.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(set.status().ToString().find("table not built: knn_ea_missing"),
+              std::string::npos);
+  }
 }
 
 // Correctness must not depend on buffer-pool capacity: a pool of 8 pages
@@ -654,7 +655,13 @@ TEST(PtldbEdgeTest, QueryStopInsideTargetSet) {
 class CalendarTest : public testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::path(testing::TempDir()) / "calendar_ptldb";
+    // One directory per test: ctest -j runs the cases as concurrent
+    // processes, and a shared path let one SetUp's remove_all delete
+    // another case's feed mid-load.
+    dir_ = std::filesystem::path(testing::TempDir()) /
+           ("calendar_" + std::string(testing::UnitTest::GetInstance()
+                                          ->current_test_info()
+                                          ->name()));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     Write("stops.txt",
@@ -679,6 +686,8 @@ class CalendarTest : public testing::Test {
           "WK,1,1,1,1,1,0,0,20260101,20261231\n"
           "WE,0,0,0,0,0,1,1,20260101,20261231\n");
   }
+
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   void Write(const std::string& name, const std::string& content) {
     ASSERT_TRUE(WriteStringToFile((dir_ / name).string(), content).ok());
@@ -778,8 +787,9 @@ TEST(PtldbStorageTest, WarmCacheCostsNoIo) {
 // A handcrafted timetable whose event times sit a few hours below
 // INT32_MAX: every layer that does time arithmetic (label merge kernels,
 // the SD duration fold, bucket index math at the top of the key range)
-// must run its intermediates in 64-bit. Answers are checked against both
-// handcomputed values and the CSA/brute oracles, on both executors.
+// must run its intermediates in 64-bit. Answers are checked against
+// handcomputed values, the CSA/brute oracles and the literal SQL of Codes
+// 1-4, on both label tiers.
 TEST(PtldbOverflowTest, AnswersOnTimetableNearInt32Max) {
   const EventTime base = EventTime::Infinity() - DSec(8 * 3600);
   TimetableBuilder builder;
@@ -804,38 +814,41 @@ TEST(PtldbOverflowTest, AnswersOnTimetableNearInt32Max) {
     auto db = PtldbDatabase::Build(index, options);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     const std::vector<StopId> targets = {1, 3};
-    ASSERT_TRUE((*db)->AddTargetSet("T", index, targets, 2).ok());
-    for (const bool compiled : {true, false}) {
-      (*db)->set_compiled_queries(compiled);
-      const auto ea = (*db)->EarliestArrival(0, 3, base);
-      ASSERT_TRUE(ea.ok());
-      EXPECT_EQ(*ea, base + DSec(600));
-      EXPECT_EQ(*ea, EarliestArrival(tt, 0, 3, base));
-      const auto ld = (*db)->LatestDeparture(0, 3, base + DSec(600));
-      ASSERT_TRUE(ld.ok());
-      EXPECT_EQ(*ld, base + DSec(100));
-      EXPECT_EQ(*ld, LatestDeparture(tt, 0, 3, base + DSec(600)));
-      const auto sd =
-          (*db)->ShortestDuration(0, 3, base, base + DSec(600));
-      ASSERT_TRUE(sd.ok());
-      EXPECT_EQ(*sd, DSec(500));
-      EXPECT_EQ(*sd, ShortestDuration(tt, 0, 3, base, base + DSec(600)));
-      // Unreachable stays the saturated sentinel, not a wrapped value.
-      const auto none = (*db)->EarliestArrival(3, 0, base);
-      ASSERT_TRUE(none.ok());
-      EXPECT_EQ(*none, EventTime::Infinity());
-      const auto knn = (*db)->EaKnn("T", 0, base, 2);
-      ASSERT_TRUE(knn.ok());
-      ExpectKnnValid(*knn, BruteEaOneToMany(tt, 0, targets, base), 2,
-                     compiled ? "EA-kNN vm" : "EA-kNN interp");
-      const auto otm = (*db)->LdOneToMany("T", 0, base + DSec(600));
-      ASSERT_TRUE(otm.ok());
-      const auto brute = BruteLdOneToMany(tt, 0, targets, base + DSec(600));
-      ASSERT_EQ(otm->size(), brute.size());
-      for (size_t i = 0; i < brute.size(); ++i) {
-        EXPECT_EQ((*otm)[i], brute[i]);
-      }
-    }
+    ASSERT_TRUE((*db)->AddTargetSet("t", index, targets, 2).ok());
+    PaperSql sql(db->get(), "t");
+    const auto ea = (*db)->EarliestArrival(0, 3, base);
+    ASSERT_TRUE(ea.ok());
+    EXPECT_EQ(*ea, base + DSec(600));
+    EXPECT_EQ(*ea, EarliestArrival(tt, 0, 3, base));
+    EXPECT_EQ(*ea, *sql.Ea(0, 3, base));
+    const auto ld = (*db)->LatestDeparture(0, 3, base + DSec(600));
+    ASSERT_TRUE(ld.ok());
+    EXPECT_EQ(*ld, base + DSec(100));
+    EXPECT_EQ(*ld, LatestDeparture(tt, 0, 3, base + DSec(600)));
+    EXPECT_EQ(*ld, *sql.Ld(0, 3, base + DSec(600)));
+    const auto sd = (*db)->ShortestDuration(0, 3, base, base + DSec(600));
+    ASSERT_TRUE(sd.ok());
+    EXPECT_EQ(*sd, DSec(500));
+    EXPECT_EQ(*sd, ShortestDuration(tt, 0, 3, base, base + DSec(600)));
+    EXPECT_EQ(*sd, *sql.Sd(0, 3, base, base + DSec(600)));
+    // Unreachable stays the saturated sentinel, not a wrapped value.
+    const auto none = (*db)->EarliestArrival(3, 0, base);
+    ASSERT_TRUE(none.ok());
+    EXPECT_EQ(*none, EventTime::Infinity());
+    EXPECT_EQ(*none, *sql.Ea(3, 0, base));
+    const auto knn = (*db)->EaKnn("t", 0, base, 2);
+    ASSERT_TRUE(knn.ok());
+    ExpectKnnValid(*knn, BruteEaOneToMany(tt, 0, targets, base), 2,
+                   "EA-kNN");
+    EXPECT_EQ(*knn, *sql.EaKnn(0, base, 2));
+    const auto naive = (*db)->EaKnnNaive("t", 0, base, 2);
+    ASSERT_TRUE(naive.ok());
+    EXPECT_EQ(*naive, *knn);
+    EXPECT_EQ(*naive, *sql.EaKnnNaive(0, base, 2));
+    const auto otm = (*db)->LdOneToMany("t", 0, base + DSec(600));
+    ASSERT_TRUE(otm.ok());
+    EXPECT_EQ(*otm, BruteLdOneToMany(tt, 0, targets, base + DSec(600)));
+    EXPECT_EQ(*otm, *sql.LdOtm(0, base + DSec(600)));
   }
 }
 

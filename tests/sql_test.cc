@@ -716,11 +716,10 @@ TEST_F(SqlExampleGoldenTest, VmStepsSpanStatMatchesEngineCounter) {
   // The compiled VM publishes its step count through one
   // LocalQueryCounters field that Timed() flushes to the exec.vm_steps
   // registry counter and the facade span attaches as "vm.steps". The two
-  // views must agree exactly, and the interpreter path must attach no
+  // views must agree exactly, and the SQL interpreter must attach no
   // vm.steps stat at all — which is why the golden trace strings above
-  // (recorded on interpreter plans) need no vm.steps column.
+  // (recorded on interpreted SQL) need no vm.steps column.
   Counter* steps = db_->engine()->metrics()->counter("exec.vm_steps");
-  db_->set_compiled_queries(true);
   QueryTrace vm_trace;
   db_->set_trace(&vm_trace);
   const uint64_t before_vm = steps->value();
@@ -729,6 +728,7 @@ TEST_F(SqlExampleGoldenTest, VmStepsSpanStatMatchesEngineCounter) {
   EXPECT_EQ(*ea, TSec(43200));
   auto knn = db_->EaKnn("poi", 5, TSec(28800), 2);
   ASSERT_TRUE(knn.ok());
+  db_->set_trace(nullptr);
   const uint64_t vm_delta = steps->value() - before_vm;
   EXPECT_GT(vm_delta, 0u);
   const QueryTrace::Span* v2v = FindChild(vm_trace.root(), "v2v_ea");
@@ -740,19 +740,29 @@ TEST_F(SqlExampleGoldenTest, VmStepsSpanStatMatchesEngineCounter) {
   EXPECT_EQ(SpanStat(*v2v, "vm.steps") + SpanStat(*ea_knn, "vm.steps"),
             vm_delta);
 
-  // Same queries on the interpreter: the counter must not move and the
-  // spans must carry no vm.steps stat (only nonzero deltas attach).
-  db_->set_compiled_queries(false);
-  QueryTrace interp_trace;
-  db_->set_trace(&interp_trace);
-  const uint64_t before_interp = steps->value();
-  ASSERT_TRUE(db_->EarliestArrival(5, 6, TSec(28800)).ok());
-  ASSERT_TRUE(db_->EaKnn("poi", 5, TSec(28800), 2).ok());
-  EXPECT_EQ(steps->value(), before_interp);
-  const QueryTrace::Span* iv2v = FindChild(interp_trace.root(), "v2v_ea");
-  ASSERT_NE(iv2v, nullptr);
-  EXPECT_EQ(SpanStat(*iv2v, "vm.steps"), 0u);
-  db_->set_trace(nullptr);
+  // The same queries as the paper's literal SQL: the counter must not
+  // move and the traced spans must carry no vm.steps stat (only nonzero
+  // deltas attach).
+  SqlInterpreter interpreter(db_->engine());
+  const uint64_t before_sql = steps->value();
+  SqlRelation result;
+  QueryTrace v2v_trace;
+  ASSERT_TRUE(interpreter
+                  .ExplainAnalyze(V2vSql(V2vKind::kEarliestArrival),
+                                  {5, 6, 28800}, &v2v_trace, &result)
+                  .ok());
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(std::get<int64_t>(result.rows[0][0]), 43200);
+  QueryTrace knn_trace;
+  ASSERT_TRUE(
+      interpreter.ExplainAnalyze(EaKnnSql("poi"), {5, 28800, 2}, &knn_trace)
+          .ok());
+  EXPECT_EQ(steps->value(), before_sql);
+  for (const QueryTrace* trace : {&v2v_trace, &knn_trace}) {
+    const QueryTrace::Span* exec = FindChild(trace->root(), "execute");
+    ASSERT_NE(exec, nullptr);
+    EXPECT_EQ(SpanStat(*exec, "vm.steps"), 0u);
+  }
 }
 
 TEST_F(SqlPaperQueriesTest, PaperWorkedExampleViaSql) {

@@ -11,8 +11,12 @@
 #include <vector>
 
 #include <algorithm>
+#include <map>
 
+#include "baseline/brute.h"
+#include "baseline/csa.h"
 #include "common/checksum.h"
+#include "paper_sql.h"
 #include "ptldb/ptldb.h"
 #include "timetable/example_graph.h"
 #include "timetable/generator.h"
@@ -247,13 +251,31 @@ TEST(TtlDeterminismTest, CompressedLabelTierIsDeterministicAcrossThreads) {
   }
 }
 
-// The executor must not be a source of nondeterminism either: exhaustively
-// over every ordered stop pair of the example graph and every event
-// boundary (each departure/arrival time and one second to either side),
-// the compiled register VM and the volcano interpreter return identical
-// answers for all seven query types, on both label tiers. The build
-// goldens above pin the index bytes; this pins that executor choice can
-// never leak into an answer served from those bytes.
+// A kNN answer agrees with the brute list when its times match position
+// by position and every stop carries its true time (stops tied at the
+// k-th position may be broken either way).
+void ExpectKnnMatchesBrute(const std::vector<StopTimeResult>& got,
+                           const std::vector<StopTimeResult>& brute,
+                           uint32_t k, const std::string& what) {
+  std::map<StopId, EventTime> truth;
+  for (const auto& r : brute) truth.emplace(r.stop, r.time);
+  ASSERT_EQ(got.size(), std::min<size_t>(k, brute.size())) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].time, brute[i].time) << what << " position " << i;
+    const auto it = truth.find(got[i].stop);
+    ASSERT_NE(it, truth.end()) << what << " stop " << got[i].stop;
+    EXPECT_EQ(it->second, got[i].time) << what << " stop " << got[i].stop;
+  }
+}
+
+// The executor must not be a source of nondeterminism either:
+// exhaustively over every ordered stop pair of the example graph and every
+// event boundary (each departure/arrival time and one second to either
+// side), the compiled register VM answers all seven query types and the
+// naive Code 2 baselines exactly like the paper's literal SQL (for q
+// outside T, where the SQL applies) and like the CSA/brute oracles, on
+// both label tiers. The build goldens above pin the index bytes; this pins
+// that the executor can never leak into an answer served from them.
 TEST(TtlDeterminismTest, ExecutorChoiceDoesNotChangeAnswers) {
   const Timetable tt = MakeExampleTimetable();
   TtlBuildOptions build;
@@ -274,6 +296,7 @@ TEST(TtlDeterminismTest, ExecutorChoiceDoesNotChangeAnswers) {
 
   std::vector<StopId> targets;
   for (StopId v = 0; v < tt.num_stops(); v += 2) targets.push_back(v);
+  constexpr uint32_t kK = 2;
 
   for (const bool compressed : {false, true}) {
     PtldbOptions options;
@@ -282,40 +305,55 @@ TEST(TtlDeterminismTest, ExecutorChoiceDoesNotChangeAnswers) {
     auto built = PtldbDatabase::Build(*index, options);
     ASSERT_TRUE(built.ok());
     PtldbDatabase* db = built->get();
-    ASSERT_TRUE(db->AddTargetSet("T", *index, targets, 4).ok());
+    ASSERT_TRUE(db->AddTargetSet("t", *index, targets, 4).ok());
+    PaperSql sql(db, "t");
     const EventTime t_end = tt.max_time();
     for (StopId s = 0; s < tt.num_stops(); ++s) {
-      for (StopId g = 0; g < tt.num_stops(); ++g) {
-        if (g == s) continue;
-        for (const EventTime t : times) {
-          db->set_compiled_queries(true);
-          const auto ea_v = db->EarliestArrival(s, g, t);
-          const auto ld_v = db->LatestDeparture(s, g, t);
-          const auto sd_v = db->ShortestDuration(s, g, t, t_end);
-          const auto eaknn_v = db->EaKnn("T", s, t, 2);
-          const auto ldknn_v = db->LdKnn("T", s, t, 2);
-          const auto eaotm_v = db->EaOneToMany("T", s, t);
-          const auto ldotm_v = db->LdOneToMany("T", s, t);
-          db->set_compiled_queries(false);
-          const auto ea_i = db->EarliestArrival(s, g, t);
-          const auto ld_i = db->LatestDeparture(s, g, t);
-          const auto sd_i = db->ShortestDuration(s, g, t, t_end);
-          const auto eaknn_i = db->EaKnn("T", s, t, 2);
-          const auto ldknn_i = db->LdKnn("T", s, t, 2);
-          const auto eaotm_i = db->EaOneToMany("T", s, t);
-          const auto ldotm_i = db->LdOneToMany("T", s, t);
-          ASSERT_TRUE(ea_v.ok() && ea_i.ok() && ld_v.ok() && ld_i.ok() &&
-                      sd_v.ok() && sd_i.ok());
-          ASSERT_TRUE(eaknn_v.ok() && eaknn_i.ok() && ldknn_v.ok() &&
-                      ldknn_i.ok() && eaotm_v.ok() && eaotm_i.ok() &&
-                      ldotm_v.ok() && ldotm_i.ok());
-          EXPECT_EQ(*ea_v, *ea_i) << "EA s=" << s << " g=" << g << " t=" << t;
-          EXPECT_EQ(*ld_v, *ld_i) << "LD s=" << s << " g=" << g << " t=" << t;
-          EXPECT_EQ(*sd_v, *sd_i) << "SD s=" << s << " g=" << g << " t=" << t;
-          EXPECT_EQ(*eaknn_v, *eaknn_i) << "EA-kNN q=" << s << " t=" << t;
-          EXPECT_EQ(*ldknn_v, *ldknn_i) << "LD-kNN q=" << s << " t=" << t;
-          EXPECT_EQ(*eaotm_v, *eaotm_i) << "EA-OTM q=" << s << " t=" << t;
-          EXPECT_EQ(*ldotm_v, *ldotm_i) << "LD-OTM q=" << s << " t=" << t;
+      const bool in_t =
+          std::find(targets.begin(), targets.end(), s) != targets.end();
+      for (const EventTime t : times) {
+        const std::string at = " q=" + std::to_string(s) +
+                               " t=" + std::to_string(t.raw_seconds()) +
+                               (compressed ? " compressed" : " raw");
+        const auto ea_full = BruteEaOneToMany(tt, s, targets, t);
+        const auto ld_full = BruteLdOneToMany(tt, s, targets, t);
+        const auto eaknn = db->EaKnn("t", s, t, kK);
+        const auto ldknn = db->LdKnn("t", s, t, kK);
+        const auto eaotm = db->EaOneToMany("t", s, t);
+        const auto ldotm = db->LdOneToMany("t", s, t);
+        const auto eanaive = db->EaKnnNaive("t", s, t, kK);
+        const auto ldnaive = db->LdKnnNaive("t", s, t, kK);
+        ASSERT_TRUE(eaknn.ok() && ldknn.ok() && eaotm.ok() && ldotm.ok() &&
+                    eanaive.ok() && ldnaive.ok());
+        ExpectKnnMatchesBrute(*eaknn, ea_full, kK, "EA-kNN" + at);
+        ExpectKnnMatchesBrute(*ldknn, ld_full, kK, "LD-kNN" + at);
+        ExpectKnnMatchesBrute(*eanaive, ea_full, kK, "EA-kNN-naive" + at);
+        ExpectKnnMatchesBrute(*ldnaive, ld_full, kK, "LD-kNN-naive" + at);
+        EXPECT_EQ(*eaotm, ea_full) << "EA-OTM" << at;
+        EXPECT_EQ(*ldotm, ld_full) << "LD-OTM" << at;
+        if (!in_t) {
+          EXPECT_EQ(*eaknn, *sql.EaKnn(s, t, kK)) << "EA-kNN" << at;
+          EXPECT_EQ(*ldknn, *sql.LdKnn(s, t, kK)) << "LD-kNN" << at;
+          EXPECT_EQ(*eaotm, *sql.EaOtm(s, t)) << "EA-OTM" << at;
+          EXPECT_EQ(*ldotm, *sql.LdOtm(s, t)) << "LD-OTM" << at;
+          EXPECT_EQ(*eanaive, *sql.EaKnnNaive(s, t, kK))
+              << "EA-kNN-naive" << at;
+          EXPECT_EQ(*ldnaive, *sql.LdKnnNaive(s, t, kK))
+              << "LD-kNN-naive" << at;
+        }
+        for (StopId g = 0; g < tt.num_stops(); ++g) {
+          if (g == s) continue;
+          const std::string pair = at + " g=" + std::to_string(g);
+          const auto ea = db->EarliestArrival(s, g, t);
+          const auto ld = db->LatestDeparture(s, g, t);
+          const auto sd = db->ShortestDuration(s, g, t, t_end);
+          ASSERT_TRUE(ea.ok() && ld.ok() && sd.ok());
+          EXPECT_EQ(*ea, EarliestArrival(tt, s, g, t)) << "EA" << pair;
+          EXPECT_EQ(*ld, LatestDeparture(tt, s, g, t)) << "LD" << pair;
+          EXPECT_EQ(*sd, ShortestDuration(tt, s, g, t, t_end)) << "SD" << pair;
+          EXPECT_EQ(*ea, *sql.Ea(s, g, t)) << "EA" << pair;
+          EXPECT_EQ(*ld, *sql.Ld(s, g, t)) << "LD" << pair;
+          EXPECT_EQ(*sd, *sql.Sd(s, g, t, t_end)) << "SD" << pair;
         }
       }
     }
